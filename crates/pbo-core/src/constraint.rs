@@ -123,6 +123,18 @@ impl std::error::Error for ConstraintError {}
 /// slack computations (`sum - rhs`) can never overflow `i64`.
 pub const MAX_COEFF_SUM: i64 = i64::MAX / 4;
 
+/// Rejects term lists whose coefficient sum exceeds [`MAX_COEFF_SUM`].
+fn check_coeff_sum(terms: &[PbTerm]) -> Result<(), ConstraintError> {
+    let sum = terms
+        .iter()
+        .try_fold(0i64, |acc, t| acc.checked_add(t.coeff))
+        .ok_or(ConstraintError::Overflow)?;
+    if sum > MAX_COEFF_SUM {
+        return Err(ConstraintError::Overflow);
+    }
+    Ok(())
+}
+
 impl PbConstraint {
     /// Creates a normalized constraint from `(coeff, lit)` pairs and a
     /// right-hand side, validating the normal-form invariants.
@@ -155,13 +167,31 @@ impl PbConstraint {
                 return Err(ConstraintError::DuplicateVariable(w[0].lit.var().index()));
             }
         }
-        let sum: i64 = out
-            .iter()
-            .try_fold(0i64, |acc, t| acc.checked_add(t.coeff))
-            .ok_or(ConstraintError::Overflow)?;
-        if sum > MAX_COEFF_SUM {
-            return Err(ConstraintError::Overflow);
+        check_coeff_sum(&out)?;
+        Ok(PbConstraint { terms: out, rhs })
+    }
+
+    /// Creates `sum a_j l_j >= rhs` from terms already in normal form —
+    /// positive coefficients on distinct variables, sorted by variable —
+    /// saturating coefficients at `rhs` like [`PbConstraint::try_new`].
+    /// This is the linear-time path for callers that keep normalized
+    /// terms and only vary the right-hand side (the cost-cut templates).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the right-hand side is not positive or the
+    /// saturated coefficient sum exceeds [`MAX_COEFF_SUM`].
+    pub fn try_from_sorted(terms: &[PbTerm], rhs: i64) -> Result<PbConstraint, ConstraintError> {
+        debug_assert!(terms.iter().all(|t| t.coeff > 0), "coefficients must be positive");
+        debug_assert!(
+            terms.windows(2).all(|w| w[0].lit.var() < w[1].lit.var()),
+            "terms must be sorted by distinct variable"
+        );
+        if rhs <= 0 {
+            return Err(ConstraintError::NonPositiveRhs(rhs));
         }
+        let out: Vec<PbTerm> = terms.iter().map(|t| PbTerm::new(t.coeff.min(rhs), t.lit)).collect();
+        check_coeff_sum(&out)?;
         Ok(PbConstraint { terms: out, rhs })
     }
 

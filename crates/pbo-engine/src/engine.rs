@@ -128,7 +128,6 @@ struct PbData {
     /// Weight of non-false literals minus rhs, kept exact at all times.
     slack: i64,
     max_coeff: i64,
-    active: bool,
 }
 
 #[derive(Copy, Clone, Debug)]
@@ -166,8 +165,11 @@ pub struct Engine {
     watches: Vec<Vec<Watcher>>,
     pbs: Vec<PbData>,
     /// Flat term arena backing every stored PB constraint (spans in
-    /// [`PbData`]); append-only, so spans stay valid as cuts arrive.
+    /// [`PbData`]). It grows as cuts arrive and shrinks only at its tail
+    /// ([`Engine::retire_pbs_from`]), so live spans stay valid.
     pb_terms: Vec<PbTerm>,
+    /// Per-literal occurrences of the stored PB constraints, each list in
+    /// increasing constraint id order (so retired cuts sit at the tails).
     pb_occur: Vec<Vec<PbOcc>>,
     /// Reusable scratch for implied-literal collection during PB
     /// propagation (no per-propagation allocation).
@@ -568,8 +570,7 @@ impl Engine {
         let slack = c.slack(&self.assignment);
         let start = self.pb_terms.len() as u32;
         self.pb_terms.extend_from_slice(c.terms());
-        let data =
-            PbData { start, len: c.len() as u32, rhs: c.rhs(), slack, max_coeff, active: true };
+        let data = PbData { start, len: c.len() as u32, rhs: c.rhs(), slack, max_coeff };
         for t in c.terms() {
             self.pb_occur[t.lit.code()].push(PbOcc { pb: id.0, coeff: t.coeff });
         }
@@ -609,11 +610,55 @@ impl Engine {
         &self.pb_terms[d.start as usize..(d.start + d.len) as usize]
     }
 
-    /// Deactivates a previously added PB constraint (used to drop
-    /// superseded upper-bound cuts). The constraint stops participating in
-    /// propagation; its slack bookkeeping continues harmlessly.
-    pub fn deactivate_pb(&mut self, id: PbId) {
-        self.pbs[id.0 as usize].active = false;
+    /// Retires PB constraint `first` and every PB constraint added after
+    /// it — the superseded cost cuts of an incumbent re-root, which are
+    /// always the newest PB constraints. Their occurrence entries are the
+    /// tails of the occurrence lists and are popped; the term arena, the
+    /// constraint store and the taints are truncated. The cost is linear
+    /// in the retired terms, and no later propagation, backjump or
+    /// enqueue visits them again. Ids from `first` on become invalid and
+    /// are reused by the next additions.
+    ///
+    /// Root facts the retired constraints implied keep their value (a
+    /// tighter cut implies them too) and lose their reason, so no reason
+    /// points past the store. Their derivation taint is kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called above decision level 0.
+    pub fn retire_pbs_from(&mut self, first: PbId) {
+        assert_eq!(self.decision_level(), 0, "cuts must be retired at level 0");
+        let first = first.0 as usize;
+        if first >= self.pbs.len() {
+            return;
+        }
+        for pb in (first..self.pbs.len()).rev() {
+            let d = self.pbs[pb];
+            for t in &self.pb_terms[d.start as usize..(d.start + d.len) as usize] {
+                let occ = self.pb_occur[t.lit.code()].pop();
+                debug_assert_eq!(
+                    occ.map(|o| o.pb as usize),
+                    Some(pb),
+                    "retired PB constraints must be the newest in every occurrence list"
+                );
+                // A PB constraint only implies its own literals.
+                let vi = t.lit.var().index();
+                if matches!(self.reason[vi], Reason::Pb(id) if id.0 as usize >= first) {
+                    self.reason[vi] = Reason::None;
+                }
+            }
+        }
+        self.pb_terms.truncate(self.pbs[first].start as usize);
+        self.pbs.truncate(first);
+        self.pb_taint.truncate(first);
+    }
+
+    /// Sizes of the PB store: constraints, arena terms, taints, and the
+    /// length of every literal's occurrence list (retirement tests).
+    #[cfg(test)]
+    pub(crate) fn pb_store_shape(&self) -> (usize, usize, usize, Vec<usize>) {
+        let occ = self.pb_occur.iter().map(Vec::len).collect();
+        (self.pbs.len(), self.pb_terms.len(), self.pb_taint.len(), occ)
     }
 
     /// The terms of a stored PB constraint (for diagnostics and
@@ -675,8 +720,8 @@ impl Engine {
     }
 
     /// Adds the normalized upper-bound ("knapsack", eq. 10) cut and
-    /// returns its id so it can be deactivated when superseded. Must be
-    /// called at level 0.
+    /// returns its id so it can be retired when superseded (see
+    /// [`Engine::retire_pbs_from`]). Must be called at level 0.
     ///
     /// # Errors
     ///
@@ -962,9 +1007,6 @@ impl Engine {
         for k in 0..self.pb_occur[code].len() {
             let occ = self.pb_occur[code][k];
             let pb_idx = occ.pb as usize;
-            if !self.pbs[pb_idx].active {
-                continue;
-            }
             let slack = self.pbs[pb_idx].slack;
             if slack < 0 {
                 return Some(Conflict::Pb(PbId(occ.pb)));

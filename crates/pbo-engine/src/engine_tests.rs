@@ -185,24 +185,76 @@ fn slack_restored_after_backjump() {
 }
 
 #[test]
-fn cut_addition_and_deactivation() {
-    let mut e = Engine::new(2);
-    // Cut: ~x1 + ~x2 >= 1 (cost bound style).
-    let cut = PbConstraint::clause([lit(0, false), lit(1, false)]);
-    let id = e.add_pb_cut(
-        &PbConstraint::try_new(vec![(1, lit(0, false)), (1, lit(1, false))], 1).unwrap(),
-    );
-    // Clause-shaped cuts still go through the PB path via add_pb_cut.
-    let id = id.expect("cut addable");
+fn cut_addition_and_retirement() {
+    let mut e = Engine::new(6);
+    e.add_constraint(
+        &PbConstraint::try_new(vec![(2, lit(0, true)), (1, lit(1, true)), (1, lit(2, true))], 2)
+            .unwrap(),
+    )
+    .unwrap();
+    e.add_constraint(&PbConstraint::clause([lit(3, true), lit(4, true)])).unwrap();
+    let baseline = e.pb_store_shape();
+
+    // Cut: ~x1 + ~x2 >= 1 (cost bound style). Clause-shaped cuts still
+    // go through the PB path via add_pb_cut.
+    let cut = PbConstraint::try_new(vec![(1, lit(0, false)), (1, lit(1, false))], 1).unwrap();
+    let id = e.add_pb_cut(&cut).expect("cut addable");
     e.decide(lit(0, true));
     assert!(e.propagate().is_none());
     assert!(e.assignment().is_true(lit(1, false)), "cut propagates ~x2");
     e.backjump_to(0);
-    e.deactivate_pb(id);
+    e.retire_pbs_from(id);
+    assert_eq!(e.pb_store_shape(), baseline, "retirement restores the static store");
     e.decide(lit(0, true));
     assert!(e.propagate().is_none());
-    assert!(e.assignment().is_unassigned(lit(1, false)), "deactivated cut is inert");
-    drop(cut);
+    assert!(e.assignment().is_unassigned(lit(1, false)), "retired cut is inert");
+    e.backjump_to(0);
+
+    // Many re-roots: each installs a fresh cut set, searches under it and
+    // retires it; nothing of it may stay behind.
+    for round in 0..1000usize {
+        let mut first = None;
+        for cut_no in 0..1 + round % 3 {
+            let terms: Vec<(i64, Lit)> = (0..2 + (round + cut_no) % 4)
+                .map(|j| (1 + ((round + j) % 3) as i64, lit(j, false)))
+                .collect();
+            let sum: i64 = terms.iter().map(|t| t.0).sum();
+            let max = terms.iter().map(|t| t.0).max().unwrap();
+            // rhs = sum - max keeps the slack at max: no root implication.
+            let cut = PbConstraint::try_new(terms, sum - max).unwrap();
+            let id = e.add_pb_cut(&cut).expect("cut addable");
+            first.get_or_insert(id);
+        }
+        assert!(e.pb_store_shape().0 > baseline.0);
+        e.decide(lit(round % 4, true));
+        let _ = e.propagate();
+        e.backjump_to(0);
+        e.retire_pbs_from(first.unwrap());
+        assert_eq!(e.pb_store_shape(), baseline, "round {round}");
+    }
+    // The static constraints still propagate with exact slacks.
+    e.decide(lit(0, false));
+    assert!(e.propagate().is_none());
+    assert!(e.assignment().is_true(lit(1, true)) && e.assignment().is_true(lit(2, true)));
+    e.backjump_to(0);
+
+    // A root fact implied by a cut outlives the cut, without a reason
+    // pointing past the store: 3 ~x6 + x5 >= 3 forces ~x6 at the root.
+    let cut = PbConstraint::try_new(vec![(3, lit(5, false)), (1, lit(4, true))], 3).unwrap();
+    let id = e.add_pb_cut(&cut).expect("cut addable");
+    assert!(e.assignment().is_true(lit(5, false)));
+    assert_eq!(e.reason_of(Var::new(5)), Reason::Pb(id));
+    e.retire_pbs_from(id);
+    assert_eq!(e.pb_store_shape(), baseline);
+    assert!(e.assignment().is_true(lit(5, false)), "root fact keeps its value");
+    assert_eq!(e.level_of(Var::new(5)), 0);
+    for &l in e.trail() {
+        if let Reason::Pb(p) = e.reason_of(l.var()) {
+            assert!((p.raw() as usize) < baseline.0, "reason of {l:?} points past the store");
+        }
+    }
+    // The freed id is reused by the next cut.
+    assert_eq!(e.add_pb_cut(&cut).expect("cut addable"), id);
 }
 
 #[test]

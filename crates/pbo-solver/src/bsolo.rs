@@ -45,7 +45,7 @@ use pbo_engine::{Conflict, Engine, LubyRestarts, PbId, Resolution, Taint};
 use pbo_ls::{IncumbentCell, SharedCut};
 use pbo_trace::{TraceEvent, Tracer};
 
-use crate::cuts::{cost_cuts, knapsack_cut};
+use crate::cuts::CostCuts;
 use crate::options::{Branching, BsoloOptions, LbMethod};
 use crate::pipeline::BoundPipeline;
 use crate::preprocess::{probe, ProbeOutcome};
@@ -204,7 +204,11 @@ pub(crate) struct SearchState<'a> {
     start: Instant,
     best_cost: Option<i64>,
     best_model: Option<Vec<bool>>,
-    active_cuts: Vec<PbId>,
+    /// The cost-cut templates, built at the first incumbent.
+    cost_cuts: Option<CostCuts>,
+    /// Engine id of the first installed cost cut; it and every later PB
+    /// constraint are the current cut set, retired on the next re-root.
+    first_cut: Option<PbId>,
     /// Cost of the cheapest cell entry that failed verification (a buggy
     /// external producer); entries at or above it are not re-verified.
     rejected_external: Option<i64>,
@@ -348,7 +352,8 @@ impl<'a> SearchState<'a> {
             start,
             best_cost: None,
             best_model: None,
-            active_cuts: Vec::new(),
+            cost_cuts: None,
+            first_cut: None,
             rejected_external: None,
             restarts,
             next_restart,
@@ -838,38 +843,39 @@ impl<'a> SearchState<'a> {
     /// assignment — no solution better than `upper` exists, so the caller
     /// finishes with the incumbent as the optimum.
     fn install_cost_cuts(&mut self, upper: i64, stats: &mut SolverStats) -> Result<(), ()> {
+        let started = Instant::now();
+        let installed = self.replace_cost_cuts(upper);
+        stats.cut_upkeep_time += started.elapsed();
+        installed?;
+        // A re-root is also a sharing point: we are at level 0 with a
+        // fresh (tighter) upper bound to stamp INCUMBENT clauses with.
+        self.sync_share(stats)
+    }
+
+    /// The cut upkeep of [`Self::install_cost_cuts`]: retires the
+    /// previous incumbent's cuts from the engine and installs the cuts
+    /// for `upper` in their place.
+    fn replace_cost_cuts(&mut self, upper: i64) -> Result<(), ()> {
         self.engine.backjump_to(0);
-        for id in self.active_cuts.drain(..) {
-            self.engine.deactivate_pb(id);
+        if let Some(first) = self.first_cut.take() {
+            self.engine.retire_pbs_from(first);
         }
-        // Trivial knapsack cut: every assignment is already cheaper,
-        // which cannot happen for a just-found solution of this cost.
-        debug_assert!(
-            knapsack_cut(self.instance, upper).is_some(),
-            "knapsack cut trivial for incumbent cost"
-        );
-        let cuts: Vec<PbConstraint> = if self.options.cardinality_cuts {
-            cost_cuts(self.instance, upper)
-        } else {
-            knapsack_cut(self.instance, upper).into_iter().collect()
-        };
+        let (instance, cardinality) = (self.instance, self.options.cardinality_cuts);
+        let cuts =
+            self.cost_cuts.get_or_insert_with(|| CostCuts::new(instance, cardinality)).at(upper);
         for cut in &cuts {
             // Cost cuts are implied by instance + incumbent, never by
             // the instance alone: clauses learned through them must not
             // be shared as unconditional.
-            match self.engine.add_pb_cut_tainted(cut, Taint::INCUMBENT) {
-                Ok(id) => self.active_cuts.push(id),
-                Err(_) => return Err(()),
-            }
+            let id = self.engine.add_pb_cut_tainted(cut, Taint::INCUMBENT).map_err(|_| ())?;
+            self.first_cut.get_or_insert(id);
         }
         // Fold the new cut set (plus the engine's best short learned
         // clauses) into the residual problem as dynamic rows, and share
         // it with any local-search sibling through the cell's cut pool.
         self.pipeline.reroot(self.instance, &self.engine, &cuts);
         self.publish_cut_pool();
-        // A re-root is also a sharing point: we are at level 0 with a
-        // fresh (tighter) upper bound to stamp INCUMBENT clauses with.
-        self.sync_share(stats)
+        Ok(())
     }
 
     /// Publishes the dynamic-row registry to the shared cell's cut pool

@@ -67,7 +67,7 @@ mod result;
 mod share;
 
 pub use bsolo::Bsolo;
-pub use cuts::{cardinality_cost_cuts, cost_cuts, knapsack_cut};
+pub use cuts::{cost_cuts, CostCuts};
 pub use linear_search::{LinearSearch, LinearSearchOptions};
 pub use milp::{MilpOptions, MilpSolver};
 pub use options::{

@@ -24,7 +24,7 @@ use std::time::Instant;
 use pbo_core::Instance;
 use pbo_engine::{Engine, LubyRestarts, Resolution};
 
-use crate::cuts::{cardinality_cost_cuts, knapsack_cut};
+use crate::cuts::CostCuts;
 use crate::options::Budget;
 use crate::preprocess::{probe, ProbeOutcome};
 use crate::result::{SolveResult, SolveStatus, SolverStats};
@@ -149,7 +149,10 @@ impl LinearSearch {
         let mut restarts = self.options.restart_base.map(LubyRestarts::new);
         let mut conflicts_until_restart = restarts.as_mut().and_then(|r| r.next());
         let mut conflicts_at_last_restart = 0u64;
-        let mut active_cuts: Vec<pbo_engine::PbId> = Vec::new();
+        // Cut templates (built at the first solution) and the engine id
+        // of the first cut of the installed set.
+        let mut cost_cuts: Option<CostCuts> = None;
+        let mut first_cut: Option<pbo_engine::PbId> = None;
 
         loop {
             if self.options.budget.exhausted(
@@ -200,27 +203,24 @@ impl LinearSearch {
                 }
                 // Tighten the cost bound (the linear-search step) and
                 // restart the SAT search.
+                let upkeep = Instant::now();
                 engine.backjump_to(0);
-                for id in active_cuts.drain(..) {
-                    engine.deactivate_pb(id);
+                if let Some(first) = first_cut.take() {
+                    engine.retire_pbs_from(first);
                 }
                 let upper = best.as_ref().map(|(c, _)| *c).unwrap_or(0);
-                let Some(cut) = knapsack_cut(instance, upper) else {
+                let cuts = cost_cuts
+                    .get_or_insert_with(|| CostCuts::new(instance, self.options.cardinality_cuts))
+                    .at(upper);
+                let installed = cuts.iter().try_for_each(|cut| {
+                    engine.add_pb_cut(cut).map(|id| {
+                        first_cut.get_or_insert(id);
+                    })
+                });
+                stats.cut_upkeep_time += upkeep.elapsed();
+                // A cut that conflicts at the root proves `upper` optimal.
+                if cuts.is_empty() || installed.is_err() {
                     return finish(SolveStatus::Optimal, best, stats, Some(&engine));
-                };
-                match engine.add_pb_cut(&cut) {
-                    Ok(id) => active_cuts.push(id),
-                    Err(_) => return finish(SolveStatus::Optimal, best, stats, Some(&engine)),
-                }
-                if self.options.cardinality_cuts {
-                    for c in cardinality_cost_cuts(instance, upper) {
-                        match engine.add_pb_cut(&c) {
-                            Ok(id) => active_cuts.push(id),
-                            Err(_) => {
-                                return finish(SolveStatus::Optimal, best, stats, Some(&engine))
-                            }
-                        }
-                    }
                 }
                 continue;
             }

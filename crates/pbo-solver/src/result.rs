@@ -110,6 +110,13 @@ pub struct SolverStats {
     /// the full re-scan in rebuild mode), **summed across workers** at
     /// join like `lb_time_total`.
     pub sub_time_total: Duration,
+    /// Time spent re-rooting the cost cuts after each incumbent (the
+    /// row/cut upkeep layer): building the cut templates, retiring the
+    /// superseded engine cuts, installing the new ones, folding them into
+    /// the bound pipeline and publishing them to the cut pool. The
+    /// clause-sharing sync that follows a re-root is not included.
+    /// Summed across workers at join like `lb_time_total`.
+    pub cut_upkeep_time: Duration,
     /// Total **wall** time of the solve, measured on the driver thread;
     /// never summed at join.
     pub solve_time: Duration,
@@ -211,6 +218,7 @@ impl SolverStats {
         self.lb_margin_sum += other.lb_margin_sum;
         self.lb_time_total += other.lb_time_total;
         self.sub_time_total += other.sub_time_total;
+        self.cut_upkeep_time += other.cut_upkeep_time;
         self.propagations += other.propagations;
         self.restarts += other.restarts;
         self.solutions_found += other.solutions_found;
@@ -263,7 +271,7 @@ impl SolverStats {
             s,
             "\"decisions\":{},\"conflicts\":{},\"bound_conflicts\":{},\"lb_calls\":{},\
              \"lb_margin_sum\":{},\"lb_time_total_ms\":{:.3},\"sub_time_total_ms\":{:.3},\
-             \"solve_time_ms\":{:.3},\"time_to_best_ms\":{:.3},\"propagations\":{},\
+             \"cut_upkeep_time_ms\":{:.3},\"solve_time_ms\":{:.3},\"time_to_best_ms\":{:.3},\"propagations\":{},\
              \"restarts\":{},\"solutions_found\":{},\"backjump_levels\":{},\
              \"lp_iterations\":{},\"nodes\":{},\"resplits\":{},\"clauses_shared\":{},\
              \"clauses_imported\":{},\"split_depth_truncated\":{},\"queue_wait_total_ms\":{:.3},\
@@ -276,6 +284,7 @@ impl SolverStats {
             self.lb_margin_sum,
             ms(self.lb_time_total),
             ms(self.sub_time_total),
+            ms(self.cut_upkeep_time),
             ms(self.solve_time),
             ms(self.time_to_best),
             self.propagations,

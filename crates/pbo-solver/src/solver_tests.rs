@@ -567,3 +567,20 @@ fn disabling_restarts_is_supported() {
         assert_eq!(got.stats.restarts, 0, "restart_base: None must never restart");
     }
 }
+
+#[test]
+fn cut_upkeep_time_is_charged_merged_and_reported() {
+    let inst = &synthesis_seeds(1)[0];
+    let bsolo = Bsolo::new(BsoloOptions::with_lb(LbMethod::Lpr)).solve(inst);
+    let linear = LinearSearch::galena_like(Budget::unlimited()).solve(inst);
+    for r in [&bsolo, &linear] {
+        assert_eq!(r.status, SolveStatus::Optimal);
+        assert!(r.stats.solutions_found > 0);
+        assert!(r.stats.cut_upkeep_time > std::time::Duration::ZERO, "re-roots charge upkeep");
+        assert!(r.stats.cut_upkeep_time <= r.stats.solve_time);
+    }
+    let mut merged = bsolo.stats.clone();
+    merged.absorb(&linear.stats);
+    assert_eq!(merged.cut_upkeep_time, bsolo.stats.cut_upkeep_time + linear.stats.cut_upkeep_time);
+    assert!(merged.to_json().contains("\"cut_upkeep_time_ms\":"));
+}
